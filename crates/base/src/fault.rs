@@ -26,7 +26,7 @@
 //!
 //! Hosts that cannot inject a given fault return a typed
 //! [`CapabilityError`] instead of panicking or silently no-opping, so
-//! chaos tooling can probe and fail loudly.
+//! chaos tooling fails loudly.
 
 use crate::ids::NodeId;
 use crate::time::Dur;
@@ -57,12 +57,7 @@ impl CapabilityError {
 
 impl fmt::Display for CapabilityError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "the {} backend does not support fault injection ({}); probe \
-             Host::supports_fault_injection before scheduling a nemesis",
-            self.backend, self.op
-        )
+        write!(f, "the {} backend cannot inject a {} fault", self.backend, self.op)
     }
 }
 

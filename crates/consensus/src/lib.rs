@@ -28,9 +28,10 @@ pub use woreg::{WoEvent, WoRegisters};
 mod tests {
     use super::*;
     use etx_base::config::FdConfig;
+    use etx_base::fault::{FaultOp, NemesisWhen};
     use etx_base::ids::{NodeId, RegId, RequestId, ResultId};
-    use etx_base::runtime::{Context, Event, Process};
-    use etx_base::time::Time;
+    use etx_base::runtime::{Context, Event, Host, Process};
+    use etx_base::time::{Dur, Time};
     use etx_base::value::RegValue;
     use etx_fd::{FailureDetector, HeartbeatFd};
     use etx_sim::{Sim, SimConfig};
@@ -187,10 +188,11 @@ mod tests {
         let r = reg(4);
         let (mut sim, ids, board) =
             build(11, 3, vec![vec![(Time::ZERO, r, RegValue::Server(NodeId(0)))]]);
-        sim.on_trace(
-            move |ev| matches!(ev.kind, etx_base::trace::TraceKind::RegDecided { reg } if reg == r),
-            etx_sim::FaultAction::Crash(ids[0]),
-        );
+        let decided = NemesisWhen::on_trace(move |ev| match ev.kind {
+            etx_base::trace::TraceKind::RegDecided { reg } => reg == r,
+            _ => false,
+        });
+        sim.schedule_fault(decided, FaultOp::Crash(ids[0])).unwrap();
         let board_c = board.clone();
         sim.run_until(move |_| decisions_for(&board_c, r).len() >= 2);
         let vals = decisions_for(&board, r);
@@ -210,7 +212,15 @@ mod tests {
             vec![(Time(500_000), r, RegValue::Server(NodeId(2)))],
         ];
         let (mut sim, ids, board) = build(13, 3, plans);
-        sim.partition(&[ids[1]], &[ids[0], ids[2]], Time(5_000_000));
+        sim.schedule_fault(
+            NemesisWhen::Now,
+            FaultOp::Partition {
+                a: vec![ids[1]],
+                b: vec![ids[0], ids[2]],
+                heal_after: Dur(5_000_000),
+            },
+        )
+        .unwrap();
         let board_c = board.clone();
         let out = sim.run_until(move |_| {
             let b = board_c.lock().unwrap();
@@ -255,7 +265,15 @@ mod tests {
         let r = reg(7);
         let (mut sim, ids, board) =
             build(19, 3, vec![vec![(Time::ZERO, r, RegValue::Server(NodeId(0)))]]);
-        sim.partition(&[ids[2]], &[ids[0], ids[1]], Time(400_000));
+        sim.schedule_fault(
+            NemesisWhen::Now,
+            FaultOp::Partition {
+                a: vec![ids[2]],
+                b: vec![ids[0], ids[1]],
+                heal_after: Dur(400_000),
+            },
+        )
+        .unwrap();
         let board_c = board.clone();
         let out = sim.run_until(move |_| board_c.lock().unwrap().contains_key(&(NodeId(2), r)));
         assert_eq!(out, etx_sim::RunOutcome::Predicate);

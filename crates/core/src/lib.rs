@@ -35,12 +35,14 @@ pub use router::{route, RoutedPlan};
 mod tests {
     use super::*;
     use etx_base::config::{CostModel, FdConfig, ProtocolConfig};
+    use etx_base::fault::{FaultOp, NemesisWhen};
     use etx_base::ids::{NodeId, RequestId, Topology};
+    use etx_base::runtime::Host;
     use etx_base::time::{Dur, Time};
     use etx_base::trace::TraceKind;
     use etx_base::value::{DbOp, Outcome, Request, RequestScript};
     use etx_fd::HeartbeatFd;
-    use etx_sim::{FaultAction, NetConfig, Sim, SimConfig};
+    use etx_sim::{NetConfig, Sim, SimConfig};
 
     /// Builds a full three-tier system: 1 client, `apps` app servers,
     /// `dbs` databases; the client issues `plan`.
@@ -211,7 +213,8 @@ mod tests {
         let topo = Topology::new(1, 3, 1);
         let req = bank_request(topo.clients[0], 1, topo.db_servers[0]);
         let (mut sim, topo) = build_system(9, 3, 1, vec![req], vec![("acct".into(), 0)]);
-        sim.crash_at(Time(0), topo.app_servers[0]);
+        sim.schedule_fault(NemesisWhen::After(Dur::ZERO), FaultOp::Crash(topo.app_servers[0]))
+            .unwrap();
         let out = sim.run_until(|s| delivered_commits(s) == 1);
         assert_eq!(out, etx_sim::RunOutcome::Predicate, "back-off broadcast must fail over");
         let commits = sim
@@ -229,16 +232,17 @@ mod tests {
         let req = bank_request(topo.clients[0], 1, topo.db_servers[0]);
         let (mut sim, topo) = build_system(11, 3, 1, vec![req], vec![("acct".into(), 0)]);
         let a1 = topo.app_servers[0];
-        sim.on_trace(
-            move |ev| {
+        sim.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
                 ev.node == a1
                     && matches!(
                         ev.kind,
                         TraceKind::Span { comp: etx_base::trace::Component::LogStart, .. }
                     )
-            },
-            FaultAction::Crash(a1),
-        );
+            }),
+            FaultOp::Crash(a1),
+        )
+        .unwrap();
         let out = sim.run_until(|s| delivered_commits(s) == 1);
         assert_eq!(out, etx_sim::RunOutcome::Predicate, "cleaner + retry must finish the job");
         let commits = sim
@@ -267,16 +271,17 @@ mod tests {
         let req = bank_request(topo.clients[0], 1, topo.db_servers[0]);
         let (mut sim, topo) = build_system(13, 3, 1, vec![req], vec![("acct".into(), 0)]);
         let a1 = topo.app_servers[0];
-        sim.on_trace(
-            move |ev| {
+        sim.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
                 ev.node == a1
                     && matches!(
                         ev.kind,
                         TraceKind::Span { comp: etx_base::trace::Component::LogOutcome, .. }
                     )
-            },
-            FaultAction::Crash(a1),
-        );
+            }),
+            FaultOp::Crash(a1),
+        )
+        .unwrap();
         let out = sim.run_until(|s| delivered_commits(s) == 1);
         assert_eq!(out, etx_sim::RunOutcome::Predicate, "fail-over with commit must deliver");
         let (delivered_attempt, outcome) = sim
@@ -304,10 +309,13 @@ mod tests {
         let req = bank_request(topo.clients[0], 1, topo.db_servers[0]);
         let (mut sim, topo) = build_system(15, 3, 1, vec![req], vec![("acct".into(), 0)]);
         let db = topo.db_servers[0];
-        sim.on_trace(
-            move |ev| ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. }),
-            FaultAction::CrashRecover(db, Dur::from_millis(20)),
-        );
+        sim.schedule_fault(
+            NemesisWhen::on_trace(move |ev| {
+                ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. })
+            }),
+            FaultOp::CrashFor { node: db, down_for: Dur::from_millis(20) },
+        )
+        .unwrap();
         let out = sim.run_until(|s| delivered_commits(s) >= 1);
         assert_eq!(out, etx_sim::RunOutcome::Predicate, "client must eventually deliver");
         let commits = sim

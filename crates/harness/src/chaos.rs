@@ -8,10 +8,10 @@
 //!
 //! Faults are expressed through the backend-neutral fault plane
 //! ([`Scenario::schedule_fault`] / [`etx_base::fault::FaultOp`]), so one
-//! nemesis schedule drives either runtime: on the simulator it replays the
-//! historical direct-call schedules byte-identically, and the `*_on`
-//! runners accept a [`RuntimeKind`] to run the same schedule against the
-//! multi-threaded host — real threads, real crashes, the same §3 judge.
+//! nemesis schedule drives either runtime: the hot-shard, mid-batch and
+//! speculation runners accept a [`RuntimeKind`] to run the same schedule
+//! on the simulator or on the multi-threaded host — real threads, real
+//! crashes, the same §3 judge.
 
 use crate::properties::{check, LivenessChecks, PropertyReport};
 use crate::scenario::{MiddleTier, Scenario, ScenarioBuilder};
@@ -283,15 +283,11 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
 /// particular that every request still terminates with a single outcome
 /// delivered exactly once.
 ///
-/// `runtime` picks the backend: the simulator replays the historical
-/// schedule byte-identically; the threaded host runs the same nemesis
+/// `runtime` picks the backend: the simulator replays the schedule
+/// byte-identically per seed; the threaded host runs the same nemesis
 /// schedule against real threads (timed faults land on the wall clock,
 /// trace-triggered ones fire off the same events).
-pub fn run_hot_shard_chaos_on(
-    seed: u64,
-    opts: &ChaosOptions,
-    runtime: RuntimeKind,
-) -> ChaosOutcome {
+pub fn run_hot_shard_chaos(seed: u64, opts: &ChaosOptions, runtime: RuntimeKind) -> ChaosOutcome {
     // Fault timing comes from the chaos stream only — the scenario (and
     // its workload RNG, seeded by `seed`) is identical with chaos on or
     // off, so `.shards()` sweeps compare like for like.
@@ -347,12 +343,6 @@ pub fn run_hot_shard_chaos_on(
     settle_and_check(scenario, seed, faults)
 }
 
-/// [`run_hot_shard_chaos_on`] pinned to the simulator (the historical
-/// entry point; byte-identical to the pre-fault-plane schedule).
-pub fn run_hot_shard_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
-    run_hot_shard_chaos_on(seed, opts, RuntimeKind::Sim)
-}
-
 /// The mid-batch chaos scenario for the commit pipeline: an open-loop
 /// burst fills the application server's pipeline queue so decision-log
 /// slots carry real batches, then
@@ -369,11 +359,7 @@ pub fn run_hot_shard_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
 /// the batch atomicity claim: a decided batch is all-or-nothing per
 /// request — every request in it terminates with its slot outcome exactly
 /// once, and none is duplicated or split by the crashes.
-pub fn run_mid_batch_chaos_on(
-    seed: u64,
-    opts: &ChaosOptions,
-    runtime: RuntimeKind,
-) -> ChaosOutcome {
+pub fn run_mid_batch_chaos(seed: u64, opts: &ChaosOptions, runtime: RuntimeKind) -> ChaosOutcome {
     let mut rng = Rng::new(opts.chaos_seed.unwrap_or(seed) ^ 0x0BA7_C4A0);
     let shards = opts.shards.unwrap_or(4).max(1);
     let batch = opts.batch_size.max(8);
@@ -418,12 +404,6 @@ pub fn run_mid_batch_chaos_on(
     settle_and_check(scenario, seed, faults)
 }
 
-/// [`run_mid_batch_chaos_on`] pinned to the simulator (the historical
-/// entry point; byte-identical to the pre-fault-plane schedule).
-pub fn run_mid_batch_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
-    run_mid_batch_chaos_on(seed, opts, RuntimeKind::Sim)
-}
-
 /// The speculation chaos scenario: an open-loop burst fills the pipeline
 /// with real batches under speculative execution, and a shard primary is
 /// **crash/recovery-cycled the moment it stashes its first speculative
@@ -437,11 +417,7 @@ pub fn run_mid_batch_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
 /// batch is *not yet state* — it writes no WAL frame, ships nothing to
 /// followers, and a crash at the worst moment leaves exactly the
 /// recovery obligations of the non-speculative pipeline.
-pub fn run_speculation_chaos_on(
-    seed: u64,
-    opts: &ChaosOptions,
-    runtime: RuntimeKind,
-) -> ChaosOutcome {
+pub fn run_speculation_chaos(seed: u64, opts: &ChaosOptions, runtime: RuntimeKind) -> ChaosOutcome {
     let mut rng = Rng::new(opts.chaos_seed.unwrap_or(seed) ^ 0x5BEC_0DE5);
     let shards = opts.shards.unwrap_or(4).max(1);
     let batch = opts.batch_size.max(8);
@@ -475,12 +451,6 @@ pub fn run_speculation_chaos_on(
     ));
 
     settle_and_check(scenario, seed, faults)
-}
-
-/// [`run_speculation_chaos_on`] pinned to the simulator (the historical
-/// entry point; byte-identical to the pre-fault-plane schedule).
-pub fn run_speculation_chaos(seed: u64, opts: &ChaosOptions) -> ChaosOutcome {
-    run_speculation_chaos_on(seed, opts, RuntimeKind::Sim)
 }
 
 /// The read-path chaos scenario: a read-dominated open-loop workload runs

@@ -29,9 +29,8 @@ pub mod sweeps;
 pub mod workloads;
 
 pub use chaos::{
-    run_chaos, run_hot_shard_chaos, run_hot_shard_chaos_on, run_mid_batch_chaos,
-    run_mid_batch_chaos_on, run_read_lease_chaos, run_read_path_chaos, run_speculation_chaos,
-    run_speculation_chaos_on, ChaosOptions, ChaosOutcome,
+    run_chaos, run_hot_shard_chaos, run_mid_batch_chaos, run_read_lease_chaos, run_read_path_chaos,
+    run_speculation_chaos, ChaosOptions, ChaosOutcome,
 };
 pub use figures::{figure1, figure1_all, figure7, figure8, Fig1Scenario, Fig8Table};
 pub use latency::{breakdown_for, Breakdown};

@@ -615,13 +615,6 @@ pub enum Backend {
 }
 
 impl Backend {
-    fn host(&self) -> &dyn Host {
-        match self {
-            Backend::Sim(sim) => sim,
-            Backend::Threaded { host, .. } => host,
-        }
-    }
-
     fn host_mut(&mut self) -> &mut dyn Host {
         match self {
             Backend::Sim(sim) => sim,
@@ -636,6 +629,12 @@ impl Backend {
         }
     }
 }
+
+/// Why [`Scenario::sim`] / [`Scenario::sim_mut`] refuse a threaded scenario.
+const SIM_ONLY: &str = "this scenario runs on the threaded backend: virtual time, mid-run \
+    storage reads, and deterministic replay are simulator internals — build with \
+    RuntimeKind::Sim for those, and use Scenario::schedule_fault for fault injection, \
+    which works on both backends";
 
 /// A built system plus convenience queries over its trace.
 #[derive(Debug)]
@@ -661,15 +660,6 @@ impl Scenario {
     /// Which runtime backend hosts this scenario.
     pub fn runtime_kind(&self) -> RuntimeKind {
         self.backend.kind()
-    }
-
-    /// Whether the backend can inject faults (crashes, pauses, link
-    /// faults, partitions). True on both built-in backends; chaos tooling
-    /// should still check it (or match on the [`CapabilityError`] from
-    /// [`Scenario::schedule_fault`]) so a future fault-blind host degrades
-    /// loudly instead of turning a chaos test into a green no-op.
-    pub fn supports_fault_injection(&self) -> bool {
-        self.backend.host().supports_fault_injection()
     }
 
     /// Injects one fault right now, backend-neutral: the simulator applies
@@ -698,11 +688,10 @@ impl Scenario {
         self.backend.host_mut().apply_schedule(schedule)
     }
 
-    /// The simulator, for internals only it has (live trace callbacks,
-    /// virtual-time stepping, mid-run storage reads, deterministic
-    /// replay). Fault injection is **not** such a capability any more —
-    /// use [`Scenario::schedule_fault`] / [`Scenario::apply_schedule`],
-    /// which work on both backends.
+    /// The simulator, for internals only it has (virtual-time stepping,
+    /// mid-run storage reads, deterministic replay). Fault injection is
+    /// not one of them: use [`Scenario::schedule_fault`] /
+    /// [`Scenario::apply_schedule`], which work on both backends.
     ///
     /// # Panics
     ///
@@ -712,20 +701,13 @@ impl Scenario {
     pub fn sim(&self) -> &Sim {
         match &self.backend {
             Backend::Sim(sim) => sim,
-            Backend::Threaded { .. } => panic!(
-                "this scenario runs on the threaded backend: virtual time, mid-run \
-                 storage reads, and deterministic replay are simulator internals — \
-                 build with RuntimeKind::Sim for those, and use \
-                 Scenario::schedule_fault for fault injection, which works on both \
-                 backends"
-            ),
+            Backend::Threaded { .. } => panic!("{SIM_ONLY}"),
         }
     }
 
-    /// Mutable simulator access (run_until / virtual-time stepping / live
-    /// trace callbacks). Same capability gate as [`Scenario::sim`]; for
-    /// fault injection use the backend-neutral [`Scenario::schedule_fault`]
-    /// instead.
+    /// Mutable simulator access (run_until / virtual-time stepping). Same
+    /// capability gate as [`Scenario::sim`]; for fault injection use the
+    /// backend-neutral [`Scenario::schedule_fault`] instead.
     ///
     /// # Panics
     ///
@@ -733,13 +715,7 @@ impl Scenario {
     pub fn sim_mut(&mut self) -> &mut Sim {
         match &mut self.backend {
             Backend::Sim(sim) => sim,
-            Backend::Threaded { .. } => panic!(
-                "this scenario runs on the threaded backend: virtual time, mid-run \
-                 storage reads, and deterministic replay are simulator internals — \
-                 build with RuntimeKind::Sim for those, and use \
-                 Scenario::schedule_fault for fault injection, which works on both \
-                 backends"
-            ),
+            Backend::Threaded { .. } => panic!("{SIM_ONLY}"),
         }
     }
 

@@ -7,9 +7,10 @@ use crate::figures::figure8_with_cost;
 use crate::scenario::{MiddleTier, ScenarioBuilder};
 use crate::stats::Summary;
 use etx_base::config::{CostModel, FdConfig};
+use etx_base::fault::{FaultOp, NemesisWhen};
 use etx_base::time::Dur;
 use etx_base::trace::{Component, TraceKind};
-use etx_sim::{FaultAction, RunOutcome};
+use etx_sim::RunOutcome;
 
 /// Protocol stage at which the primary is crashed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,29 +66,22 @@ pub fn failover_sweep(seed: u64, fd_timeouts: &[Dur]) -> Vec<FailoverPoint> {
             let mut s =
                 ScenarioBuilder::new(MiddleTier::Etx { apps: 3 }, seed).fd(fd).requests(1).build();
             let a1 = s.topo.primary();
-            match crash {
-                CrashPoint::None => {}
-                CrashPoint::AfterRegA => s.sim_mut().on_trace(
-                    move |ev| {
-                        ev.node == a1
-                            && matches!(ev.kind, TraceKind::Span { comp: Component::LogStart, .. })
-                    },
-                    FaultAction::Crash(a1),
-                ),
-                CrashPoint::AfterVote => s.sim_mut().on_trace(
-                    move |ev| matches!(ev.kind, TraceKind::DbVote { .. }),
-                    FaultAction::Crash(a1),
-                ),
-                CrashPoint::AfterRegD => s.sim_mut().on_trace(
-                    move |ev| {
-                        ev.node == a1
-                            && matches!(
-                                ev.kind,
-                                TraceKind::Span { comp: Component::LogOutcome, .. }
-                            )
-                    },
-                    FaultAction::Crash(a1),
-                ),
+            let when = match crash {
+                CrashPoint::None => None,
+                CrashPoint::AfterRegA => Some(NemesisWhen::on_trace(move |ev| {
+                    ev.node == a1
+                        && matches!(ev.kind, TraceKind::Span { comp: Component::LogStart, .. })
+                })),
+                CrashPoint::AfterVote => {
+                    Some(NemesisWhen::on_trace(|ev| matches!(ev.kind, TraceKind::DbVote { .. })))
+                }
+                CrashPoint::AfterRegD => Some(NemesisWhen::on_trace(move |ev| {
+                    ev.node == a1
+                        && matches!(ev.kind, TraceKind::Span { comp: Component::LogOutcome, .. })
+                })),
+            };
+            if let Some(when) = when {
+                s.schedule_fault(when, FaultOp::Crash(a1)).expect("both hosts inject crashes");
             }
             let out = s.run_until_settled(1);
             assert_eq!(out, RunOutcome::Predicate, "fail-over run must deliver");

@@ -10,7 +10,7 @@
 //! Faults here are **real**, not simulated: the fault plane
 //! ([`Host::schedule_fault`]) crashes a node by poisoning its inbox and
 //! joining its OS thread (volatile state dies with the thread; the
-//! [`LogStore`] survives for restart), pauses a node by parking the thread
+//! `LogStore` survives for restart), pauses a node by parking the thread
 //! with its inbox gated (the SIGSTOP story — messages pile up, timers go
 //! overdue, nothing is lost), and degrades links through a filter table
 //! consulted on every send (drop, delay, duplicate, partition). The §3
@@ -1128,10 +1128,6 @@ impl Host for ThreadedHost {
         f(&stats)
     }
 
-    fn supports_fault_injection(&self) -> bool {
-        true
-    }
-
     fn schedule_fault(&mut self, when: NemesisWhen, op: FaultOp) -> Result<(), CapabilityError> {
         if matches!(self.phase, Phase::Stopped) {
             return Err(CapabilityError::new("threaded (stopped)", op.label()));
@@ -1271,7 +1267,6 @@ mod tests {
     #[test]
     fn fault_plane_is_supported() {
         let mut host = ThreadedHost::new(ThreadedConfig::default());
-        assert!(host.supports_fault_injection());
         // Scheduling before start() is accepted (applied at first pump).
         assert!(host
             .schedule_fault(NemesisWhen::After(Dur::from_millis(1)), FaultOp::Crash(NodeId(0)))

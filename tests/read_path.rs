@@ -18,11 +18,11 @@
 //!   loop), checked via the conserved-pair invariant.
 
 use etx::base::config::{BatchingConfig, ReadPathConfig};
+use etx::base::fault::{FaultOp, NemesisWhen};
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
 use etx::base::value::Outcome;
 use etx::harness::{MiddleTier, Scenario, ScenarioBuilder, Workload};
-use etx::sim::FaultAction;
 
 /// `ETX_BATCH_SIZE` changes scheduling wholesale; the golden hashes were
 /// captured without it.
@@ -100,10 +100,13 @@ fn fast_path_off_replays_pre_existing_traces_byte_identically() {
         .build();
     let victim = s.topo.primary();
     let db = s.topo.db_servers[0];
-    s.sim_mut().on_trace(
-        move |ev| ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. }),
-        FaultAction::Crash(victim),
-    );
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
+            ev.node == db && matches!(ev.kind, TraceKind::DbVote { .. })
+        }),
+        FaultOp::Crash(victim),
+    )
+    .unwrap();
     assert_eq!(
         fnv1a(&trace_bytes(s, 2)),
         GOLDEN_FAILOVER,
@@ -119,10 +122,13 @@ fn fast_path_off_replays_pre_existing_traces_byte_identically() {
         .requests(2)
         .build();
     let victim = s.shard_primary(0);
-    s.sim_mut().on_trace(
-        move |ev| ev.node == victim && matches!(ev.kind, TraceKind::DbVote { .. }),
-        FaultAction::CrashRecover(victim, Dur::from_millis(20)),
-    );
+    s.schedule_fault(
+        NemesisWhen::on_trace(move |ev| {
+            ev.node == victim && matches!(ev.kind, TraceKind::DbVote { .. })
+        }),
+        FaultOp::CrashFor { node: victim, down_for: Dur::from_millis(20) },
+    )
+    .unwrap();
     assert_eq!(
         fnv1a(&trace_bytes(s, 2)),
         GOLDEN_SHARDED,
@@ -276,7 +282,12 @@ fn follower_staleness_bound_over_seed_sweep() {
         for shard in 0..4u32 {
             let replicas = s.shard_replicas(shard).to_vec();
             for &f in &replicas[1..] {
-                s.sim_mut().block_link(replicas[0], f, etx::base::time::Time(3_600_000_000));
+                s.fault(FaultOp::BlockLink {
+                    from: replicas[0],
+                    to: f,
+                    heal_after: Dur::from_secs(3600),
+                })
+                .unwrap();
             }
         }
         let out = s.run_until_settled(8);
@@ -376,10 +387,10 @@ fn chaotic_pure_read_run(
     // follower of replication (irrelevant to frozen state, lethal to a
     // fast path that forgot its freshness gate or retry backstop).
     let victim = s.shard_replicas(0)[1];
-    s.sim_mut().crash_at(etx::base::time::Time(2_000), victim);
-    s.sim_mut().recover_at(etx::base::time::Time(20_000), victim);
+    s.schedule_fault(NemesisWhen::After(Dur(2_000)), FaultOp::Crash(victim)).unwrap();
+    s.schedule_fault(NemesisWhen::After(Dur(20_000)), FaultOp::Recover(victim)).unwrap();
     let lag = s.shard_replicas(1).to_vec();
-    s.sim_mut().block_link(lag[0], lag[1], etx::base::time::Time(100_000));
+    s.fault(FaultOp::BlockLink { from: lag[0], to: lag[1], heal_after: Dur(100_000) }).unwrap();
     let n = s.requests as usize;
     let out = s.run_until_settled(n);
     assert_eq!(out, etx::sim::RunOutcome::Predicate, "seed {seed}: pure-read run must settle");
@@ -587,8 +598,8 @@ fn read_retry_rotates_replicas_before_escalating_to_primaries() {
         // bring it back long after: every call routed at it goes
         // unanswered until the backstop rotates the pick.
         let victim = s.shard_replicas(0)[1];
-        s.sim_mut().crash_at(etx::base::time::Time(200), victim);
-        s.sim_mut().recover_at(etx::base::time::Time(60_000), victim);
+        s.schedule_fault(NemesisWhen::After(Dur(200)), FaultOp::Crash(victim)).unwrap();
+        s.schedule_fault(NemesisWhen::After(Dur(60_000)), FaultOp::Recover(victim)).unwrap();
         let n = s.requests as usize;
         let out = s.run_until_settled(n);
         assert_eq!(out, etx::sim::RunOutcome::Predicate, "seed {seed}: must settle");

@@ -157,7 +157,6 @@ fn threaded_read_path_preserves_snapshot_invariants() {
         .workload(workload.clone())
         .build();
     assert_eq!(s.runtime_kind(), RuntimeKind::Threaded);
-    assert!(s.supports_fault_injection(), "the fault plane spans both backends");
 
     let n = s.requests as usize;
     assert_eq!(s.run_until_settled(n), etx::sim::RunOutcome::Predicate);
@@ -205,8 +204,8 @@ fn threaded_scenarios_reject_simulator_internals() {
 }
 
 /// The fault plane is backend-neutral: a threaded scenario accepts a
-/// nemesis schedule and reports the capability, and a stopped host
-/// refuses with a typed [`CapabilityError`] instead of a panic.
+/// nemesis schedule, and a stopped host refuses with a typed
+/// [`CapabilityError`] instead of a panic.
 #[test]
 fn threaded_scenarios_accept_fault_schedules() {
     use etx::base::fault::{FaultOp, NemesisSchedule};
@@ -214,7 +213,6 @@ fn threaded_scenarios_accept_fault_schedules() {
         .runtime(RuntimeKind::Threaded)
         .requests(1)
         .build();
-    assert!(s.supports_fault_injection());
     let app = s.topo.app_servers[2];
     let schedule = NemesisSchedule::new()
         .at(Dur::from_millis(1), FaultOp::PauseFor { node: app, down_for: Dur::from_millis(2) });
@@ -241,7 +239,6 @@ fn explicit_runtime_choice_beats_the_environment() {
     let pinned =
         ScenarioBuilder::fast(MiddleTier::Etx { apps: 1 }, 1).runtime(RuntimeKind::Sim).build();
     assert_eq!(pinned.runtime_kind(), RuntimeKind::Sim, "explicit call must beat ETX_RUNTIME");
-    assert!(pinned.supports_fault_injection());
 
     let mut swept = ScenarioBuilder::fast(MiddleTier::Etx { apps: 1 }, 1).build();
     assert_eq!(swept.runtime_kind(), RuntimeKind::Threaded, "ETX_RUNTIME must beat the default");
