@@ -148,7 +148,11 @@ pub enum AppMsg {
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbMsg {
     /// Execute business-logic operations inside branch `rid` (transient
-    /// manipulation; not committed).
+    /// manipulation; not committed). Answered by exactly one `ExecReply` —
+    /// at once, or, when the branch was parked behind a conflicting lock,
+    /// later: when the holders decide and the branch runs, or with a
+    /// conflict when the branch is aborted while still parked. (A crash of
+    /// the database loses the reply; the `Ready` path covers that.)
     Exec {
         /// Transaction branch.
         rid: ResultId,
@@ -159,6 +163,12 @@ pub enum DbMsg {
         /// unreliable baseline does not). Figure 8 shows the XA path costs a
         /// few extra milliseconds of SQL time.
         xa: bool,
+        /// Whether the branch may wait on a lock conflict instead of being
+        /// doomed. Set exactly on an attempt's first call: calls run one
+        /// after another, so the attempt then holds no lock at any
+        /// database, and a branch that holds nothing can wait without
+        /// risking a deadlock.
+        may_wait: bool,
     },
     /// `[Prepare, j]` — request a vote.
     Prepare {

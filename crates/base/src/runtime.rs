@@ -39,6 +39,12 @@ pub enum TimerTag {
         /// Attempt being waited on.
         rid: ResultId,
     },
+    /// A client's randomized pause before retrying a request whose attempts
+    /// keep aborting: send attempt `rid` now.
+    ClientRetry {
+        /// Attempt to send.
+        rid: ResultId,
+    },
     /// Application server retransmits `[Decide]` until every database
     /// acknowledges (Figure 4 terminate() repeat-loop).
     TerminateRetry {

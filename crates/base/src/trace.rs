@@ -199,6 +199,13 @@ pub enum TraceKind {
         /// snapshot-validation round starts).
         backoff: u32,
     },
+    /// A database parked a branch behind a conflicting lock instead of
+    /// dooming it: the branch held no locks, so it waits in the key's FIFO
+    /// queue and its `Exec` is answered when it wakes and runs.
+    LockWait {
+        /// The parked branch.
+        rid: ResultId,
+    },
     /// A shard primary's renewal timer granted its followers a fresh read
     /// lease: their applied prefixes are authoritative through `through`.
     /// (Piggybacked renewals on commit shipments are not traced — they

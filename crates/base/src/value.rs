@@ -150,9 +150,12 @@ pub enum OpOutput {
 pub enum ExecStatus {
     /// All operations executed; per-op outputs inside.
     Done(Vec<OpOutput>),
-    /// A lock conflict with a concurrent transaction; the branch is doomed
-    /// and will vote no. The client-side protocol will retry the request as
-    /// a fresh attempt.
+    /// A lock conflict with a concurrent transaction while the branch held
+    /// locks (or was not allowed to wait); the branch is doomed and will
+    /// vote no. The client-side protocol will retry the request as a fresh
+    /// attempt. A branch that held nothing is parked instead, and gets
+    /// `Done` once it runs — or `Conflict` if it is aborted while still
+    /// parked.
     Conflict,
 }
 

@@ -105,7 +105,8 @@ impl TpcServer {
             return;
         }
         let call = request.script.calls[*call_idx].clone();
-        ctx.send(call.db, Payload::Db(DbMsg::Exec { rid, ops: call.ops, xa: true }));
+        let may_wait = *call_idx == 0;
+        ctx.send(call.db, Payload::Db(DbMsg::Exec { rid, ops: call.ops, xa: true, may_wait }));
     }
 
     fn on_exec_reply(&mut self, ctx: &mut dyn Context, rid: ResultId, status: ExecStatus) {

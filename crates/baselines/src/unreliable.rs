@@ -69,8 +69,9 @@ impl BaselineServer {
             return;
         }
         let call = request.script.calls[*call_idx].clone();
+        let may_wait = *call_idx == 0;
         // xa = false: the baseline's SQL path has no XA bracketing overhead.
-        ctx.send(call.db, Payload::Db(DbMsg::Exec { rid, ops: call.ops, xa: false }));
+        ctx.send(call.db, Payload::Db(DbMsg::Exec { rid, ops: call.ops, xa: false, may_wait }));
     }
 
     fn on_exec_reply(&mut self, ctx: &mut dyn Context, rid: ResultId, status: ExecStatus) {

@@ -333,6 +333,29 @@ impl AppServer {
             self.regd_started.remove(&rid);
             self.terminate_targets.remove(&rid);
         }
+        // An attempt of this client that has not reached its decision here
+        // holds the watermark below it. The client can settle a request
+        // through another server while this one still runs an attempt of
+        // it — a fast-path read served elsewhere while this server fell
+        // back to the locking path — and the attempt's branches may
+        // already be prepared. The log drops every outcome below the
+        // watermark, so without the hold no slot would ever carry this
+        // attempt and its branches would stay in doubt, locks held.
+        let ack_below = self
+            .fsms
+            .iter()
+            .filter(|(rid, phase)| {
+                rid.request.client == client
+                    && matches!(
+                        phase,
+                        Phase::WritingRegA { .. }
+                            | Phase::Computing { .. }
+                            | Phase::Preparing { .. }
+                            | Phase::WritingRegD
+                    )
+            })
+            .map(|(rid, _)| rid.request.seq)
+            .fold(ack_below, u64::min);
         // Slots whose every member is settled shed their consensus payload
         // too — without this the register bank retains one decided batch
         // (results included) per slot forever, unbounding memory with total
@@ -364,6 +387,12 @@ impl AppServer {
     /// GC tests).
     pub fn in_flight_attempts(&self) -> usize {
         self.fsms.len()
+    }
+
+    /// The attempts whose state machines are currently held (observability
+    /// / GC tests).
+    pub fn in_flight(&self) -> impl Iterator<Item = ResultId> + '_ {
+        self.fsms.keys().copied()
     }
 
     // ---- computation thread (Figure 5) ------------------------------------
@@ -887,7 +916,10 @@ impl AppServer {
             return;
         }
         let call = calls[*call_idx].clone();
-        ctx.send(call.db, Payload::Db(DbMsg::Exec { rid, ops: call.ops, xa: true }));
+        // The first call may wait on a conflict: calls run one after
+        // another, so the attempt holds no lock anywhere yet.
+        let may_wait = *call_idx == 0;
+        ctx.send(call.db, Payload::Db(DbMsg::Exec { rid, ops: call.ops, xa: true, may_wait }));
     }
 
     fn on_exec_reply(&mut self, ctx: &mut dyn Context, rid: ResultId, status: ExecStatus) {
@@ -1281,7 +1313,10 @@ impl AppServer {
     // ---- Ready (database crash-recovery notifications) ---------------------
 
     fn on_ready(&mut self, ctx: &mut dyn Context, db: NodeId) {
-        let rids: Vec<ResultId> = self.fsms.keys().copied().collect();
+        // In attempt order: the pushes below must leave in the same order
+        // on every run, whatever the map's iteration order.
+        let mut rids: Vec<ResultId> = self.fsms.keys().copied().collect();
+        rids.sort_unstable();
         for rid in rids {
             match self.fsms.get_mut(&rid) {
                 Some(Phase::Computing { request, call_idx, .. }) => {
@@ -1478,5 +1513,9 @@ impl Process for AppServer {
 
     fn name(&self) -> &'static str {
         "appserver"
+    }
+
+    fn as_any(&self) -> Option<&dyn core::any::Any> {
+        Some(self)
     }
 }

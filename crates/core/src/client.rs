@@ -7,7 +7,8 @@
 //! (§4: "the client keeps retransmitting the request ... until it receives
 //! back a committed result"; duplicates are absorbed by the servers'
 //! idempotence). A commit result is **delivered** (`issue()` returns); an
-//! abort result moves the client to attempt `j + 1`.
+//! abort result moves the client to attempt `j + 1` — after a short random
+//! pause once the request has aborted twice in a row.
 //!
 //! Attempt bookkeeping (current attempt id, timer validity, stale-result
 //! filtering, the `Issue` trace) lives in the shared
@@ -35,6 +36,16 @@ use etx_base::time::Dur;
 use etx_base::trace::TraceKind;
 use etx_base::value::{Decision, Outcome, Request};
 use std::collections::BTreeMap;
+
+/// The range of the random pause before the retry that follows a
+/// request's second consecutive abort; it doubles with every further abort,
+/// `RETRY_PAUSE_DOUBLINGS` times at most (1 ms up to 32 ms). On two-shard
+/// all-cross-shard transfers (`ShardedBank{32, cross 100%}`, 8 clients,
+/// seeds 1–10, batch 64 with speculation) retrying at once livelocked half
+/// the seeds; a 1 ms and a 4 ms base both settled every seed, 1 ms a
+/// little sooner in the median.
+const RETRY_PAUSE: Dur = Dur::from_millis(1);
+const RETRY_PAUSE_DOUBLINGS: u32 = 5;
 
 /// How the client walks its plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,11 +208,24 @@ impl EtxClient {
                     self.issue_next(ctx);
                 }
             }
-            Outcome::Abort => {
+            Outcome::Abort if rid.attempt < 2 => {
                 // Figure 2 line 10: j := j + 1 and retry the same request.
                 ctx.trace(TraceKind::ClientRetry { rid });
                 flight.next_attempt(ctx);
                 self.start_attempt(ctx, id);
+            }
+            Outcome::Abort => {
+                // A request aborted twice in a row pauses for a random
+                // time before retrying, the range doubling with each
+                // further abort. Two transactions that lock the same keys
+                // in opposite orders doom each other's second call; their
+                // clients learn of the aborts together and would otherwise
+                // retry in lockstep forever.
+                ctx.trace(TraceKind::ClientRetry { rid });
+                let next = flight.next_attempt(ctx);
+                let range = RETRY_PAUSE.0 << (rid.attempt - 2).min(RETRY_PAUSE_DOUBLINGS);
+                let pause = Dur(ctx.random_u64() % range);
+                flight.arm(ctx, RetryTimer::Primary, pause, TimerTag::ClientRetry { rid: next });
             }
         }
     }
@@ -230,6 +254,16 @@ impl Process for EtxClient {
                     }
                     // Figure 2 lines 5–6: patience exhausted; go wide.
                     self.broadcast(ctx, key);
+                }
+            }
+            Event::Timer { id, tag: TimerTag::ClientRetry { rid } } => {
+                let key = rid.request;
+                let current = self
+                    .inflight
+                    .get(&key)
+                    .is_some_and(|f| f.timer_is_current(RetryTimer::Primary, id, rid));
+                if current {
+                    self.start_attempt(ctx, key);
                 }
             }
             Event::Timer { id, tag: TimerTag::ClientRebroadcast { rid } } => {

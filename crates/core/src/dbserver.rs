@@ -23,6 +23,14 @@
 //! group commit pays — a `DecideBatch` claims the log once for its whole
 //! batch, where the same outcomes arriving as N separate `Decide`s would
 //! occupy it N times.
+//!
+//! An `Exec` is not always answered at once. A branch that holds no locks
+//! and conflicts is parked by the engine (see [`etx_store::locks`]); the
+//! server remembers where its reply goes, and after every message it
+//! handles it answers each branch that woke and ran, charging SQL time
+//! from the moment of the wake. A parked branch aborted (or asked to vote)
+//! before it runs is answered with a conflict, so every `Exec` still gets
+//! exactly one reply.
 
 use etx_base::config::{CostModel, PipelineConfig, ReadLeaseConfig, SpeculationConfig};
 use etx_base::ids::{NodeId, ResultId};
@@ -30,7 +38,7 @@ use etx_base::msg::{DbMsg, DbReplyMsg, Payload, ReplMsg};
 use etx_base::runtime::{jittered, Context, Event, Process, TimerTag};
 use etx_base::time::{Dur, Time};
 use etx_base::trace::{Component, TraceKind};
-use etx_base::value::{Outcome, Vote};
+use etx_base::value::{ExecStatus, Outcome, Vote};
 use etx_base::wal::{StableRecord, LOG_WAL};
 use etx_store::Engine;
 use std::collections::{HashMap, HashSet};
@@ -146,6 +154,11 @@ pub struct DbServer {
     /// the applied position to have reached it, so a bare renewal can
     /// never re-authorize a prefix that lost a commit shipment.
     lease_floor: u64,
+    /// Where each parked `Exec` is answered, and whether it runs under XA
+    /// bracketing (for its SQL charge). Volatile, like the engine's
+    /// queues: a crash drops both, and the application servers' `Ready`
+    /// path aborts the attempts.
+    parked_execs: HashMap<ResultId, (NodeId, bool)>,
 }
 
 /// A yes vote a lease-granting primary is withholding on a cross-shard
@@ -205,6 +218,7 @@ impl DbServer {
             held_votes: HashMap::new(),
             live_intents: HashMap::new(),
             lease_floor: 0,
+            parked_execs: HashMap::new(),
         }
     }
 
@@ -538,16 +552,46 @@ impl DbServer {
         }
     }
 
+    /// Answers an `Exec` after its SQL service time.
+    fn reply_exec(
+        &mut self,
+        ctx: &mut dyn Context,
+        to: NodeId,
+        rid: ResultId,
+        xa: bool,
+        status: ExecStatus,
+    ) {
+        let mut dur = jittered(ctx, self.cost.sql, self.cost.jitter);
+        if xa {
+            dur += jittered(ctx, self.cost.sql_xa_overhead, self.cost.jitter);
+        }
+        ctx.trace(TraceKind::Span { rid, comp: Component::Sql, dur });
+        ctx.send_after(dur, to, Payload::DbReply(DbReplyMsg::ExecReply { rid, status }));
+    }
+
+    /// Answers every parked `Exec` the engine settled while the last
+    /// message was handled: the branch woke and ran, or a decide or vote
+    /// dropped it (a `Conflict`, so its owner stops computing).
+    fn reply_woken(&mut self, ctx: &mut dyn Context) {
+        for (rid, status) in self.engine.take_woken() {
+            let (to, xa) = self.parked_execs.remove(&rid).expect("the engine parked an Exec");
+            self.reply_exec(ctx, to, rid, xa, status);
+        }
+    }
+
     fn on_db_msg(&mut self, ctx: &mut dyn Context, from: NodeId, msg: DbMsg) {
         match msg {
-            DbMsg::Exec { rid, ops, xa } => {
-                let status = self.engine.execute(rid, &ops);
-                let mut dur = jittered(ctx, self.cost.sql, self.cost.jitter);
-                if xa {
-                    dur += jittered(ctx, self.cost.sql_xa_overhead, self.cost.jitter);
+            DbMsg::Exec { rid, ops, xa, may_wait } => {
+                match self.engine.submit(rid, &ops, may_wait) {
+                    Some(status) => self.reply_exec(ctx, from, rid, xa, status),
+                    // Parked: answered by `reply_woken` once it runs or
+                    // is dropped.
+                    None => {
+                        if self.parked_execs.insert(rid, (from, xa)).is_none() {
+                            ctx.trace(TraceKind::LockWait { rid });
+                        }
+                    }
                 }
-                ctx.trace(TraceKind::Span { rid, comp: Component::Sql, dur });
-                ctx.send_after(dur, from, Payload::DbReply(DbReplyMsg::ExecReply { rid, status }));
             }
             DbMsg::Prepare { rid, cross } => {
                 // Lease bookkeeping: from here until its decide arrives, a
@@ -981,6 +1025,9 @@ impl Process for DbServer {
                 self.held_votes.clear();
                 self.live_intents.clear();
                 self.lease_floor = 0;
+                // The rebuilt engine parks nothing; the application
+                // servers' `Ready` path aborts the attempts that were.
+                self.parked_execs.clear();
                 if self.grants_leases() {
                     self.lease_fence = ctx.now() + self.leases.duration;
                     ctx.trace(TraceKind::LeaseFence { until: self.lease_fence });
@@ -1000,7 +1047,10 @@ impl Process for DbServer {
                 self.awaiting_sync = false;
                 self.request_sync(ctx);
             }
-            Event::Message { from, payload: Payload::Db(m) } => self.on_db_msg(ctx, from, m),
+            Event::Message { from, payload: Payload::Db(m) } => {
+                self.on_db_msg(ctx, from, m);
+                self.reply_woken(ctx);
+            }
             Event::Message { from, payload: Payload::Repl(m) } => self.on_repl_msg(ctx, from, m),
             Event::Timer { tag: TimerTag::ReplSyncRetry, .. } if self.awaiting_sync => {
                 if let Some(primary) = self.repl.sync_from {

@@ -986,6 +986,12 @@ impl Scenario {
         self.count(|k| matches!(k, TraceKind::ReadFallback { .. }))
     }
 
+    /// Count of branches a database parked behind a conflicting lock
+    /// instead of dooming them (one per parked `Exec`).
+    pub fn lock_waits(&self) -> usize {
+        self.count(|k| matches!(k, TraceKind::LockWait { .. }))
+    }
+
     /// Database commit events (per (db, rid), at most one each).
     pub fn db_commits(&self) -> usize {
         self.count(|k| matches!(k, TraceKind::DbDecide { outcome: Outcome::Commit, .. }))

@@ -120,6 +120,14 @@ pub struct Engine {
     /// Primary role: stashed speculative batch executions, keyed by the
     /// proposed decision-log slot. Volatile by design — never recovered.
     spec: BTreeMap<u64, SpecSlot>,
+    /// The operations of each parked branch, run when it wakes. A parked
+    /// branch has no [`Branch`] entry; the lock table's queues are the one
+    /// record of who is parked.
+    parked_ops: HashMap<ResultId, Vec<DbOp>>,
+    /// The replies owed to parked branches that woke and ran, or were
+    /// dropped before running, for the host to send
+    /// ([`Engine::take_woken`]).
+    woken: Vec<(ResultId, ExecStatus)>,
 }
 
 impl Engine {
@@ -230,49 +238,105 @@ impl Engine {
     }
 
     fn doom(&mut self, rid: ResultId) {
-        self.locks.release_all(rid);
-        if let Some(b) = self.branches.get_mut(&rid) {
-            b.state = BranchState::Doomed;
-            b.writes.clear();
-        } else {
-            self.branches
-                .insert(rid, Branch { state: BranchState::Doomed, writes: BTreeMap::new() });
+        self.release(rid);
+        let b = self
+            .branches
+            .entry(rid)
+            .or_insert(Branch { state: BranchState::Doomed, writes: BTreeMap::new() });
+        b.state = BranchState::Doomed;
+        b.writes.clear();
+    }
+
+    /// Releases every lock `rid` holds (or takes it out of its queue, if
+    /// it is parked), then runs the parked branches that woke, in queue
+    /// order. Their replies wait in [`Engine::take_woken`]; so does the
+    /// [`ExecStatus::Conflict`] that answers `rid` itself if it was
+    /// dropped while parked — every parked `Exec` gets exactly one reply.
+    fn release(&mut self, rid: ResultId) {
+        if self.parked_ops.remove(&rid).is_some() {
+            self.woken.push((rid, ExecStatus::Conflict));
+        }
+        for w in self.locks.release_all(rid) {
+            let ops = self.parked_ops.remove(&w).expect("a woken branch was parked");
+            if let Some(status) = self.run(w, &ops, true) {
+                self.woken.push((w, status));
+            }
         }
     }
 
     /// Executes a batch of business-logic operations inside branch `rid`
-    /// (the transient manipulation behind the paper's `compute()`). Creates
-    /// the branch on first use.
+    /// (the transient manipulation behind the paper's `compute()`),
+    /// creating the branch on first use. The call's locks are taken all
+    /// at once, under the policy of [`crate::locks`]:
     ///
-    /// A lock conflict dooms the branch (no-wait policy), releases its locks
-    /// and returns [`ExecStatus::Conflict`]; the branch will vote no.
-    pub fn execute(&mut self, rid: ResultId, ops: &[DbOp]) -> ExecStatus {
-        if let Some(outcome) = self.decided.get(&rid) {
+    /// * no conflict — the operations run and the reply is `Some`;
+    /// * a conflict, and `may_wait` is set and the branch holds no lock
+    ///   here — the branch is **parked** and the reply is `None`. It runs
+    ///   when the conflicting holders decide, and its reply then comes out
+    ///   of [`Engine::take_woken`]. `may_wait` is the caller's promise that
+    ///   the branch holds no lock at any other database either (an
+    ///   attempt's first call);
+    /// * any other conflict — the branch is doomed, releases its locks
+    ///   and the reply is [`ExecStatus::Conflict`]; the branch will vote
+    ///   no.
+    ///
+    /// A repeated `Exec` for a parked branch is `None` again; the single
+    /// wake answers both. A parked branch that is aborted, or asked to
+    /// vote, before it runs is doomed and answered with
+    /// [`ExecStatus::Conflict`] through [`Engine::take_woken`].
+    pub fn submit(&mut self, rid: ResultId, ops: &[DbOp], may_wait: bool) -> Option<ExecStatus> {
+        if self.decided.contains_key(&rid) {
             // A decided branch cannot execute further work; treat as
             // conflict so the caller aborts this attempt. (Can occur only
             // with duplicated/very late Exec messages.)
-            let _ = outcome;
-            return ExecStatus::Conflict;
+            return Some(ExecStatus::Conflict);
+        }
+        if self.is_parked(rid) {
+            return None;
         }
         match self.branches.get(&rid).map(|b| b.state) {
-            Some(BranchState::Doomed) => return ExecStatus::Conflict,
-            Some(BranchState::Prepared) => return ExecStatus::Conflict,
-            _ => {}
+            Some(BranchState::Doomed | BranchState::Prepared) => Some(ExecStatus::Conflict),
+            Some(BranchState::Active) | None => self.run(rid, ops, may_wait),
+        }
+    }
+
+    /// [`Engine::submit`] for a caller that never waits: a conflict dooms
+    /// the branch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rid` is parked by an earlier waiting [`Engine::submit`].
+    pub fn execute(&mut self, rid: ResultId, ops: &[DbOp]) -> ExecStatus {
+        self.submit(rid, ops, false).expect("branch is parked by an earlier waiting submit")
+    }
+
+    /// Takes the locks for `ops` and runs them, or parks / dooms `rid`.
+    fn run(&mut self, rid: ResultId, ops: &[DbOp], may_wait: bool) -> Option<ExecStatus> {
+        // A script stops at its first `Doom`: lock only what runs.
+        let end = ops.iter().position(|op| matches!(op, DbOp::Doom)).map_or(ops.len(), |i| i + 1);
+        let reqs: Vec<(&str, LockMode)> = ops[..end]
+            .iter()
+            .filter_map(|op| {
+                let mode = if op.is_write() { LockMode::Exclusive } else { LockMode::Shared };
+                Some((op.key()?, mode))
+            })
+            .collect();
+        match self.locks.request(rid, &reqs, may_wait) {
+            LockGrant::Granted => {}
+            LockGrant::Parked => {
+                self.parked_ops.insert(rid, ops.to_vec());
+                return None;
+            }
+            LockGrant::Conflict => {
+                self.doom(rid);
+                return Some(ExecStatus::Conflict);
+            }
         }
         self.branches
             .entry(rid)
             .or_insert(Branch { state: BranchState::Active, writes: BTreeMap::new() });
         let mut outputs = Vec::with_capacity(ops.len());
-        for op in ops {
-            // Locking.
-            if let Some(key) = op.key() {
-                let mode = if op.is_write() { LockMode::Exclusive } else { LockMode::Shared };
-                if self.locks.acquire(key, rid, mode) == LockGrant::Conflict {
-                    self.doom(rid);
-                    return ExecStatus::Conflict;
-                }
-            }
-            // Semantics.
+        for op in &ops[..end] {
             let out = match op {
                 DbOp::Get { key } => OpOutput::Value(self.effective(rid, key)),
                 DbOp::Put { key, value } => {
@@ -308,13 +372,30 @@ impl Engine {
                 }
                 DbOp::Doom => {
                     self.doom(rid);
-                    outputs.push(OpOutput::Doomed);
-                    return ExecStatus::Done(outputs);
+                    OpOutput::Doomed
                 }
             };
             outputs.push(out);
         }
-        ExecStatus::Done(outputs)
+        Some(ExecStatus::Done(outputs))
+    }
+
+    /// Drains the replies owed to parked branches since the last drain, in
+    /// order: `Done` (or `Conflict`) for one that woke and ran, `Conflict`
+    /// for one dropped before it ran. Each is the one answer to the `Exec`
+    /// that parked the branch.
+    pub fn take_woken(&mut self) -> Vec<(ResultId, ExecStatus)> {
+        std::mem::take(&mut self.woken)
+    }
+
+    /// Whether `rid` is parked behind a conflicting lock.
+    pub fn is_parked(&self, rid: ResultId) -> bool {
+        self.locks.is_parked(rid)
+    }
+
+    /// The lock table (diagnostics and tests).
+    pub fn locks(&self) -> &LockTable {
+        &self.locks
     }
 
     /// XA prepare: returns the vote and any log writes the host must apply.
@@ -328,6 +409,11 @@ impl Engine {
                 Outcome::Commit => (Vote::Yes, Vec::new()),
                 Outcome::Abort => (Vote::No, Vec::new()),
             };
+        }
+        if self.is_parked(rid) {
+            // Prepared before its first call ran (not reachable through
+            // the protocol): the branch will never run now.
+            self.doom(rid);
         }
         match self.branches.get_mut(&rid) {
             Some(b) if b.state == BranchState::Active => {
@@ -360,7 +446,7 @@ impl Engine {
         }
         let applied = match outcome {
             Outcome::Abort => {
-                self.locks.release_all(rid);
+                self.release(rid);
                 self.branches.remove(&rid);
                 Outcome::Abort
             }
@@ -373,12 +459,12 @@ impl Engine {
                         for (k, v) in b.writes {
                             self.data.insert(k, v);
                         }
-                        self.locks.release_all(rid);
                         self.ship_seq += 1;
                         self.outbox.push((self.ship_seq, rid, shipped));
+                        self.release(rid);
                         Outcome::Commit
                     }
-                    None => {
+                    None if !self.is_parked(rid) => {
                         // Vacuous commit: this server was not involved in
                         // the transaction (the cleaner and crash-recovery
                         // paths push decisions to *every* database, §4).
@@ -391,9 +477,9 @@ impl Engine {
                         self.outbox.push((self.ship_seq, rid, ShippedEntries::from([])));
                         Outcome::Commit
                     }
-                    Some(state) => {
-                        // A branch this server executed (or doomed) but
-                        // never successfully prepared can only be committed
+                    state => {
+                        // A branch this server executed, doomed or parked
+                        // but never successfully prepared can only be committed
                         // by a caller violating V.2 — unreachable under the
                         // protocol.
                         debug_assert!(
@@ -401,7 +487,7 @@ impl Engine {
                             "decide(commit) for unprepared branch {rid} ({state:?}) — \
                              V.2 violated by caller"
                         );
-                        self.locks.release_all(rid);
+                        self.release(rid);
                         self.branches.remove(&rid);
                         self.decided.insert(rid, Outcome::Abort);
                         return (
@@ -613,10 +699,10 @@ impl Engine {
                 for (k, v) in b.writes {
                     self.data.insert(k, v);
                 }
-                self.locks.release_all(rid);
                 self.ship_seq += 1;
                 self.outbox.push((self.ship_seq, rid, shipped));
                 self.decided.insert(rid, Outcome::Commit);
+                self.release(rid);
                 (
                     true,
                     vec![LogWrite {
@@ -901,12 +987,121 @@ mod tests {
 
     #[test]
     fn lock_conflict_dooms_requester_not_holder() {
+        // A lock-holding requester (or one not allowed to wait) is still
+        // doomed; the holder is never touched.
         let mut e = Engine::new();
-        let (r1, r2) = (rid(1), rid(2));
-        assert!(matches!(e.execute(r1, &[put("k", 1)]), ExecStatus::Done(_)));
-        assert_eq!(e.execute(r2, &[put("k", 2)]), ExecStatus::Conflict);
+        let (r1, r2, r3) = (rid(1), rid(2), rid(3));
+        assert!(matches!(e.submit(r1, &[put("k", 1)], true), Some(ExecStatus::Done(_))));
+        assert!(matches!(e.submit(r2, &[put("j", 1)], true), Some(ExecStatus::Done(_))));
+        assert_eq!(e.submit(r2, &[put("k", 2)], true), Some(ExecStatus::Conflict));
         assert_eq!(e.vote(r2).0, Vote::No);
+        assert!(!e.locks().holds("j", r2, LockMode::Shared), "the doomed branch released");
+        assert_eq!(e.execute(r3, &[put("k", 3)]), ExecStatus::Conflict, "no-wait caller");
         assert_eq!(e.vote(r1).0, Vote::Yes, "holder unaffected");
+        // A lock-free requester that may wait parks behind the holder
+        // instead of being doomed.
+        let r4 = rid(4);
+        assert_eq!(e.submit(r4, &[put("k", 4)], true), None);
+        assert!(e.is_parked(r4));
+        assert_eq!(e.vote(r1).0, Vote::Yes, "holder still unaffected");
+    }
+
+    fn add(key: &str, delta: i64) -> DbOp {
+        DbOp::Add { key: key.into(), delta }
+    }
+
+    fn commit(e: &mut Engine, r: ResultId) {
+        assert_eq!(e.vote(r).0, Vote::Yes);
+        assert_eq!(e.decide(r, Outcome::Commit).0, Outcome::Commit);
+    }
+
+    #[test]
+    fn parked_branches_run_in_fifo_order_when_the_holder_commits() {
+        let mut e = Engine::with_data([("k".to_string(), 0)]);
+        assert!(e.submit(rid(1), &[add("k", 1)], true).is_some());
+        assert_eq!(e.submit(rid(2), &[add("k", 10)], true), None);
+        assert_eq!(e.submit(rid(3), &[add("k", 100)], true), None);
+        assert_eq!(e.submit(rid(2), &[add("k", 10)], true), None, "duplicate Exec waits too");
+        assert!(e.take_woken().is_empty());
+        commit(&mut e, rid(1));
+        // 2 ran on 1's committed value; 3 queues behind 2 now.
+        assert_eq!(e.take_woken(), [(rid(2), ExecStatus::Done(vec![OpOutput::Updated(11)]))]);
+        assert!(e.is_parked(rid(3)));
+        commit(&mut e, rid(2));
+        assert_eq!(e.take_woken(), [(rid(3), ExecStatus::Done(vec![OpOutput::Updated(111)]))]);
+        commit(&mut e, rid(3));
+        assert_eq!(e.committed("k"), Some(111));
+        assert_eq!(e.locked_keys(), 0);
+    }
+
+    #[test]
+    fn parked_branches_run_in_fifo_order_when_the_holder_aborts() {
+        let mut e = Engine::with_data([("k".to_string(), 0)]);
+        e.submit(rid(1), &[add("k", 1)], true);
+        e.submit(rid(2), &[DbOp::Get { key: "k".into() }], true);
+        e.submit(rid(3), &[DbOp::Get { key: "k".into() }], true);
+        e.vote(rid(1));
+        e.decide(rid(1), Outcome::Abort);
+        // Both readers share the key at once, in queue order, and see
+        // nothing of the aborted write.
+        let zero = ExecStatus::Done(vec![OpOutput::Value(Some(0))]);
+        assert_eq!(e.take_woken(), [(rid(2), zero.clone()), (rid(3), zero)]);
+    }
+
+    #[test]
+    fn a_multi_key_call_takes_all_of_its_locks_or_none() {
+        let mut e = Engine::new();
+        e.submit(rid(1), &[put("b", 1)], true);
+        assert_eq!(e.submit(rid(2), &[put("a", 2), put("b", 2)], true), None);
+        assert!(!e.locks().holds_any(rid(2)), "parked with nothing taken");
+        assert!(e.submit(rid(3), &[put("a", 3)], false).is_some(), "`a` stayed free");
+        e.decide(rid(3), Outcome::Abort);
+        e.vote(rid(1));
+        e.decide(rid(1), Outcome::Abort);
+        assert_eq!(
+            e.take_woken(),
+            [(rid(2), ExecStatus::Done(vec![OpOutput::Updated(2), OpOutput::Updated(2)]))]
+        );
+        assert!(e.locks().holds("a", rid(2), LockMode::Exclusive));
+        assert!(e.locks().holds("b", rid(2), LockMode::Exclusive));
+    }
+
+    #[test]
+    fn aborting_a_parked_branch_removes_it() {
+        let mut e = Engine::new();
+        e.submit(rid(1), &[put("k", 1)], true);
+        e.submit(rid(2), &[put("k", 2)], true);
+        e.submit(rid(3), &[put("k", 3)], true);
+        assert_eq!(e.decide(rid(2), Outcome::Abort).0, Outcome::Abort);
+        assert!(!e.is_parked(rid(2)));
+        // Its `Exec` is still answered, once: the caller stops computing.
+        assert_eq!(e.take_woken(), [(rid(2), ExecStatus::Conflict)]);
+        // A vote dooms a parked branch the same way.
+        assert_eq!(e.vote(rid(3)).0, Vote::No);
+        assert_eq!(e.take_woken(), [(rid(3), ExecStatus::Conflict)]);
+        assert_eq!(e.locks().parked_count(), 0);
+        commit(&mut e, rid(1));
+        assert!(e.take_woken().is_empty(), "the dropped branches never run");
+        assert_eq!(e.locked_keys(), 0);
+        assert_eq!(e.submit(rid(2), &[put("k", 2)], true), Some(ExecStatus::Conflict));
+        assert_eq!(e.submit(rid(3), &[put("k", 3)], true), Some(ExecStatus::Conflict));
+    }
+
+    #[test]
+    fn recovery_starts_with_no_parked_branches() {
+        let mut e = Engine::new();
+        let mut wal: Vec<StableRecord> = Vec::new();
+        e.submit(rid(1), &[put("k", 1)], true);
+        wal.extend(e.vote(rid(1)).1.into_iter().map(|w| w.rec));
+        assert_eq!(e.submit(rid(2), &[put("k", 2)], true), None);
+        let mut r = Engine::recover(&wal);
+        assert_eq!(r.locks().parked_count(), 0);
+        assert!(!r.is_parked(rid(2)));
+        assert_eq!(r.vote(rid(2)).0, Vote::No, "the parked branch is gone");
+        // A new lock-free branch parks behind the in-doubt lock.
+        assert_eq!(r.submit(rid(3), &[put("k", 3)], true), None);
+        r.decide(rid(1), Outcome::Commit);
+        assert_eq!(r.take_woken(), [(rid(3), ExecStatus::Done(vec![OpOutput::Updated(3)]))]);
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! log on (simulated) stable storage, forced prepare/commit records, and
 //! crash recovery that restores **in-doubt** branches with their locks.
 //!
-//! See [`engine::Engine`] for the resource-manager surface (`execute`,
-//! `vote`, `decide`, `commit_one_phase`, `recover`) and [`locks`] for the
-//! serializability substrate the paper assumes in §3.
+//! See [`engine::Engine`] for the resource-manager surface (`submit` /
+//! `execute`, `vote`, `decide`, `commit_one_phase`, `recover`) and
+//! [`locks`] for the serializability substrate the paper assumes in §3:
+//! a branch that holds no locks waits behind a conflicting lock, one that
+//! holds a lock is doomed.
 //!
 //! ```
 //! use etx_store::Engine;

@@ -97,7 +97,8 @@ proptest! {
     }
 
     /// In-doubt branches keep their locks across recovery; everything else
-    /// releases.
+    /// releases. Behind an in-doubt lock a lock-free requester parks and a
+    /// lock-holding one is doomed.
     #[test]
     fn store_indoubt_locks_survive(
         prepare_first in any::<bool>(),
@@ -113,9 +114,13 @@ proptest! {
         if prepare_first {
             prop_assert!(recovered.is_prepared(r1));
             let mut rec = recovered;
+            let put_a = [DbOp::Put { key: "a".into(), value: 2 }];
+            prop_assert_eq!(rec.submit(rid(2), &put_a, true), None);
+            prop_assert!(rec.is_parked(rid(2)));
+            rec.execute(rid(3), &[DbOp::Put { key: "b".into(), value: 3 }]);
             prop_assert_eq!(
-                rec.execute(rid(2), &[DbOp::Put { key: "a".into(), value: 2 }]),
-                etx::base::value::ExecStatus::Conflict
+                rec.submit(rid(3), &put_a, true),
+                Some(etx::base::value::ExecStatus::Conflict)
             );
         } else {
             prop_assert!(!recovered.is_prepared(r1));

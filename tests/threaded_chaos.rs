@@ -14,7 +14,7 @@
 use etx::base::config::{
     BatchingConfig, FeatureSet, PipelineConfig, ProtocolConfig, ReadLeaseConfig, ReadPathConfig,
 };
-use etx::base::fault::{FaultOp, NemesisWhen};
+use etx::base::fault::{FaultOp, LinkFault, NemesisWhen};
 use etx::base::runtime::RuntimeKind;
 use etx::base::time::Dur;
 use etx::base::trace::TraceKind;
@@ -145,11 +145,14 @@ fn paused_lease_holder_expires_while_parked_and_stays_safe() {
 /// partition at full cadence. Everything must settle once healed, and §3
 /// must hold across the stalled window.
 ///
-/// Whether the window actually opens ≥ 2 slots before the burst settles
-/// depends on real thread scheduling, so the scenario retries across
-/// seeds: every attempt must settle with §3 green (partitioned or not),
-/// and at least one attempt must genuinely catch an open window and
-/// interrupt traffic at the partitioned links.
+/// Channels between threads are as fast as the machine, so a consensus
+/// round can finish before the next flush and the window never opens:
+/// a1's links to its peers carry a 1 ms delay until the partition heals
+/// them. Whether the window actually opens ≥ 2 slots before the burst
+/// settles still depends on real thread scheduling, so the scenario
+/// retries across seeds: every attempt must settle with §3 green
+/// (partitioned or not), and at least one attempt must genuinely catch an
+/// open window and interrupt traffic at the partitioned links.
 #[test]
 fn partition_during_open_pipeline_window_heals_and_settles() {
     // The fast-test protocol profile, plus a real back-off ceiling (the
@@ -181,6 +184,15 @@ fn partition_during_open_pipeline_window_heals_and_settles() {
 
         let a1 = s.topo.primary();
         let peers: Vec<_> = s.topo.app_servers.iter().copied().filter(|&a| a != a1).collect();
+        // Slow a1's consensus rounds past the 1 ms flush window, so a
+        // second slot opens while the first is undecided.
+        for &p in &peers {
+            for (from, to) in [(a1, p), (p, a1)] {
+                let fault = LinkFault::delay_by(Dur::from_millis(1));
+                s.fault(FaultOp::SetLink { from, to, fault })
+                    .expect("the threaded backend supports fault injection");
+            }
+        }
         s.schedule_fault(
             NemesisWhen::on_trace(move |ev| {
                 ev.node == a1 && matches!(ev.kind, TraceKind::PipelineWindow { open } if open >= 2)
